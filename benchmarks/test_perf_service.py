@@ -3,7 +3,8 @@
 Times the three service-layer hot paths — query admission onto a warm
 shared substrate, incremental group reoptimization under churn, and the
 steady-state multi-query cycle rate at 32 concurrent queries — and records
-them in ``BENCH_service.json`` at the repo root so future PRs can compare.
+them in ``bench-out/BENCH_service.json`` (gitignored; the tracked
+``BENCH_service.json`` at the repo root is the history PRs compare against).
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 from repro.service.churn import churn_query
 from repro.service.engine import ServiceConfig, ServiceEngine
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+_RESULTS_PATH = Path(__file__).resolve().parent.parent / "bench-out" / "BENCH_service.json"
 _RESULTS = {}
 
 NUM_NODES = 120
@@ -35,6 +36,7 @@ def _write_results():
         "concurrency": CONCURRENCY,
         "benchmarks": _RESULTS,
     }
+    _RESULTS_PATH.parent.mkdir(exist_ok=True)
     _RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -13,8 +13,9 @@ algorithms) end-to-end through ``SweepRunner``:
   startup, the second reuses the warm workers, demonstrating the
   amortization a campaign gets across scenarios.
 
-Results land in ``BENCH_sweep.json`` at the repo root so future PRs can
-track the engine's scaling trajectory alongside ``BENCH_transport.json``.
+Results land in ``bench-out/BENCH_sweep.json`` (gitignored), next to
+``bench-out/BENCH_transport.json``; the tracked ``BENCH_*.json`` files at the
+repo root hold the engine's scaling trajectory.
 """
 
 import json
@@ -31,7 +32,7 @@ from repro.experiments.scenarios import BUILTIN_SCENARIOS
 
 from conftest import run_once
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+_RESULTS_PATH = Path(__file__).resolve().parent.parent / "bench-out" / "BENCH_sweep.json"
 _RESULTS = {}
 
 _SMOKE = SCALES["smoke"]
@@ -58,6 +59,7 @@ def _write_results():
         "speedup_jobs4_vs_serial": (serial / jobs4) if serial and jobs4 else None,
         "pool_reuse_warm_vs_cold_speedup": (cold / warm) if cold and warm else None,
     }
+    _RESULTS_PATH.parent.mkdir(exist_ok=True)
     _RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -3,8 +3,9 @@
 Times the two Python-level hot paths every figure benchmark leans on — the
 instant-accounting ``NetworkSimulator.transfer`` and the PathCache-backed
 ``Topology.shortest_path``/``shortest_hops`` — plus the lossy batched
-variant, and records the results in ``BENCH_transport.json`` at the repo
-root so future PRs have a perf trajectory to compare against.
+variant, and records the results in ``bench-out/BENCH_transport.json``
+(gitignored; the tracked ``BENCH_transport.json`` at the repo root is the
+history future PRs compare against).
 """
 
 import json
@@ -24,7 +25,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topology import grid_topology, random_topology
 from repro.network.traffic import TrafficStats
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
+_RESULTS_PATH = Path(__file__).resolve().parent.parent / "bench-out" / "BENCH_transport.json"
 _RESULTS = {}
 
 
@@ -39,6 +40,7 @@ def _write_results():
         "machine": platform.machine(),
         "benchmarks": _RESULTS,
     }
+    _RESULTS_PATH.parent.mkdir(exist_ok=True)
     _RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -4,7 +4,7 @@ Section 4.3 argues the in-network strategies win once the deployment is
 large enough that shipping raw streams to the base costs more than placing
 the join near the producers.  This module turns that argument into a
 city-scale figure: a ``strategy-crossover`` scenario family sweeps
-deployment size x producer ratio x join selectivity over the sparse
+deployment size x producer ratio x join selectivity over the
 ``scale`` substrate and the row shapers locate, per (ratio, selectivity)
 cell, the smallest rung where an in-network variant's total traffic
 undercuts the through-the-base baseline -- plus per-node hotspot/Gini maps

@@ -88,11 +88,15 @@ class ExecutionContext:
 
     # -- producer eligibility and sampling ------------------------------------
     def eligible_producers(self, alias: str) -> List[int]:
-        """Nodes passing the pre-evaluated static selection clauses for *alias*."""
+        """Alive nodes passing the pre-evaluated static selection clauses for *alias*.
+
+        A producer that died before initiation (a query admitted to a running
+        service after a failure) is planned out: no pair gets a dead endpoint.
+        """
         eligible = []
         for node_id in self.topology.node_ids:
             node = self.topology.nodes[node_id]
-            if node.is_base:
+            if node.is_base or not node.alive:
                 continue
             if self.analysis.node_eligible(alias, node.static_attributes):
                 eligible.append(node_id)
@@ -131,11 +135,7 @@ class ExecutionContext:
             self.data_source._producer_sample_pins.setdefault(
                 id(self.topology), self.topology
             )
-        if self.topology.routing_cache_enabled:
-            alive = self.topology.routing_cache.alive_set
-        else:
-            nodes_map = self.topology.nodes
-            alive = frozenset(n for n, node in nodes_map.items() if node.alive)
+        alive = self.topology.routing_cache.alive_set
         none_dead = len(alive) == len(self.topology.nodes)
         sample_many = getattr(self.data_source, "sample_many", None)
         samples: List[ProducerSample] = []

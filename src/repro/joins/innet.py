@@ -654,6 +654,7 @@ class InnetJoin(JoinStrategy):
                            produced_at: Dict[int, List[int]]) -> None:
         source_alias, target_alias = ctx.query.aliases
         finished = [p for p, until in self._recovering.items() if until <= cycle]
+        rebuilt_all = False
         for pair in finished:
             del self._recovering[pair]
             assignment = self.plan.assignments.get(pair)
@@ -688,7 +689,16 @@ class InnetJoin(JoinStrategy):
                 delays = [max(0, cycle - max(s.cycle, t.cycle)) for s, t in matches]
                 if delays:
                     produced_at.setdefault(base_decision.join_node, []).extend(delays)
-            self._rebuild_delivery(ctx)
+            # The first recovery of the cycle rebuilds every producer's tree;
+            # after it only this pair's decision changed, so only its two
+            # producers' trees can differ.
+            if rebuilt_all:
+                self._rebuild_delivery(
+                    ctx, producers=[(source_alias, pair[0]), (target_alias, pair[1])]
+                )
+            else:
+                self._rebuild_delivery(ctx)
+                rebuilt_all = True
 
     def _base_decision(self, ctx: ExecutionContext, pair: Pair,
                        assumed: Selectivities):

@@ -32,6 +32,7 @@ Two multi-query effects are modeled on top of plain interleaving:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -187,6 +188,19 @@ class SharedSubstrateEngine:
         if path is None:
             return [a, b]
         return list(path)
+
+    def _path_to_base(self, substrate, node_id: int) -> List[int]:
+        """The owner's tree path to the base, else the shortest alive route.
+
+        A producer that died after its query was admitted is no longer on the
+        repaired trees; its pairs still take part in group decisions.
+        """
+        if substrate is not None:
+            try:
+                return substrate.path_to_base(node_id)
+            except KeyError:
+                pass
+        return self._route_between(node_id, self.topology.base_id)
 
     # -- admission ------------------------------------------------------------
     def attach(
@@ -386,14 +400,9 @@ class SharedSubstrateEngine:
                     if pair in plan.assignments
                 }
                 substrate = getattr(owner.strategy, "substrate", None)
-                base_path_of = (
-                    substrate.path_to_base if substrate is not None
-                    else lambda node: self._route_between(
-                        node, self.topology.base_id
-                    )
-                )
                 self.group_optimizer.apply_decision(
-                    decision, owned, self.topology.base_id, base_path_of
+                    decision, owned, self.topology.base_id,
+                    functools.partial(self._path_to_base, substrate),
                 )
                 for pair, placement in owned.items():
                     plan.assignments[pair].decision = placement

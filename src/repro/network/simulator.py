@@ -165,10 +165,6 @@ class NetworkSimulator:
 
     def _current_alive_set(self) -> frozenset:
         topology = self.topology
-        if not topology.routing_cache_enabled:
-            return frozenset(
-                nid for nid, node in topology.nodes.items() if node.alive
-            )
         if topology.routing_epoch != self._alive_epoch:
             cache = topology.routing_cache
             self._alive_set = cache.alive_set
@@ -349,10 +345,7 @@ class NetworkSimulator:
         """
         if not self.topology.nodes[node_id].alive:
             return []
-        if self.topology.routing_cache_enabled:
-            neighbours = self.topology.routing_cache.alive_adjacency.get(node_id, [])
-        else:
-            neighbours = self.topology.neighbors(node_id)
+        neighbours = self.topology.routing_cache.alive_adjacency.get(node_id, [])
         self.pipeline.charge_broadcast(node_id, size_bytes, kind, neighbours)
         return list(neighbours)
 
@@ -363,12 +356,7 @@ class NetworkSimulator:
         visited = set()
         frontier = [origin]
         transmissions = 0
-        if self.topology.routing_cache_enabled:
-            alive_adjacency = self.topology.routing_cache.alive_adjacency
-        else:
-            alive_adjacency = {
-                nid: self.topology.neighbors(nid) for nid in self.topology.nodes
-            }
+        alive_adjacency = self.topology.routing_cache.alive_adjacency
         while frontier:
             next_frontier: List[int] = []
             queued = set()  # dedupe: large topologies otherwise rescan nodes

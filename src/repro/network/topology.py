@@ -11,14 +11,18 @@ are neighbours iff their Euclidean distance is below the radio range.  For
 random topologies the radio range is solved numerically so that the achieved
 average degree matches the requested density, and the deployment is rejected
 and re-sampled if the resulting graph is disconnected.
+
+Every deployment, from the 54-mote Intel lab to a million-node city, holds
+its links in one representation: a :class:`CSRAdjacency` built from the
+grid-bucketed pair search, so no generator ever materializes an N x N
+distance matrix.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,68 +36,55 @@ DENSITY_PRESETS: Dict[str, float] = {
     "dense": 13.0,
 }
 
-#: Deployments at or above this node count switch to the sparse substrate
-#: (grid-bucketed generation + CSR adjacency + array BFS) automatically.
-#: Paper-scale topologies (tens to hundreds of nodes) stay on the dict
-#: representation, which is the bit-identity reference.
-SPARSE_NODE_THRESHOLD = 4096
-
-
-def sparse_mode_enabled(num_nodes: int, sparse: Optional[bool] = None) -> bool:
-    """Resolve the sparse-substrate knob.
-
-    Priority: explicit *sparse* argument, then the ``REPRO_SPARSE``
-    environment variable (``1``/``true`` forces the sparse substrate on at
-    any scale, ``0``/``false`` forces the dense reference), then the
-    :data:`SPARSE_NODE_THRESHOLD` size cutoff.
-    """
-    if sparse is not None:
-        return bool(sparse)
-    env = os.environ.get("REPRO_SPARSE", "").strip().lower()
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    return num_nodes >= SPARSE_NODE_THRESHOLD
+#: Deployments at or above this node count run BFS with the level-synchronous
+#: numpy kernel; smaller ones with the scalar row walk.  Per BFS source the
+#: scalar walk takes 0.07 ms at 100 nodes (numpy: 0.70 ms) and 73 ms at 30k
+#: nodes (numpy: 38 ms).  Both kernels return identical tables.
+NUMPY_BFS_MIN_NODES = 4096
 
 
 class CSRAdjacency:
-    """Compressed-sparse-row adjacency behind the dict-of-sets interface.
+    """Compressed-sparse-row adjacency behind a dict-of-sets interface.
 
     ``indptr``/``indices`` hold the symmetric neighbour lists of nodes
-    ``0..num_nodes-1`` (each row sorted ascending), which is what the sparse
-    generators produce.  The class quacks like the ``Dict[int, Set[int]]``
-    the rest of the codebase expects:
-
-    - reads go through :meth:`get` / iteration and return sorted neighbour
-      lists (cheap slices of the index array);
-    - the rare mutation paths (``remove_links_of`` / ``rebuild_links_of``
-      during mobility and failure experiments) go through ``__getitem__`` /
-      ``__setitem__``, which copy the affected row into a per-row overlay of
-      plain Python sets -- the CSR arrays themselves are immutable;
-    - :meth:`effective_csr` splices the overlay back into array form for the
-      vectorized BFS consumers, rebuilt lazily only after a mutation.
-
-    ``validated`` marks adjacencies whose symmetry is guaranteed by
-    construction, letting ``Topology.__post_init__`` skip its O(E) Python
-    validation loop (the dense dict path keeps validating as before).
+    ``0..num_nodes-1``, each row sorted ascending.  Reads (:meth:`get`,
+    :meth:`row_list`) return sorted neighbour lists sliced from the index
+    array.  The rare mutation paths (``remove_links_of`` /
+    ``rebuild_links_of`` during mobility and failure experiments) go through
+    ``__getitem__`` / ``__setitem__``, which copy the affected row into a
+    per-row overlay of plain Python sets -- the CSR arrays themselves are
+    immutable; :meth:`effective_csr` splices the overlay back into array form,
+    rebuilt lazily only after a mutation.
     """
 
     __slots__ = (
-        "indptr", "indices", "num_nodes", "validated",
+        "indptr", "indices", "num_nodes",
         "_overlay", "_version", "_effective", "_effective_version",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 num_nodes: int, validated: bool = False) -> None:
+                 num_nodes: int) -> None:
         self.indptr = indptr
         self.indices = indices
         self.num_nodes = int(num_nodes)
-        self.validated = bool(validated)
         self._overlay: Dict[int, Set[int]] = {}
         self._version = 0
         self._effective: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._effective_version = -1
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[int, Iterable[int]],
+                     num_nodes: int) -> "CSRAdjacency":
+        """CSR form of a symmetric ``{node: neighbours}`` mapping."""
+        src: List[int] = []
+        dst: List[int] = []
+        for node_id, neighbours in mapping.items():
+            for other in neighbours:
+                if node_id < other:
+                    src.append(node_id)
+                    dst.append(other)
+        return _csr_from_pairs(np.asarray(src, dtype=np.int64),
+                               np.asarray(dst, dtype=np.int64), num_nodes)
 
     # -- reads ---------------------------------------------------------------
     def _base_row(self, node_id: int) -> np.ndarray:
@@ -109,15 +100,9 @@ class CSRAdjacency:
         return self._base_row(node_id).tolist()
 
     def get(self, node_id: int, default=None):
-        if isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes:
+        if node_id in self:
             return self.row_list(int(node_id))
         return default
-
-    def degree(self, node_id: int) -> int:
-        overlay = self._overlay.get(node_id)
-        if overlay is not None:
-            return len(overlay)
-        return int(self.indptr[node_id + 1] - self.indptr[node_id])
 
     def total_degree(self) -> int:
         total = int(self.indptr[-1])
@@ -125,27 +110,26 @@ class CSRAdjacency:
             total += len(overlay) - int(self.indptr[node_id + 1] - self.indptr[node_id])
         return total
 
-    # -- mapping protocol ------------------------------------------------------
+    def items(self):
+        """``(node, neighbour set)`` pairs, as a ``{node: neighbours}`` mapping yields."""
+        return ((node_id, set(self.row_list(node_id)))
+                for node_id in range(self.num_nodes))
+
     def __contains__(self, node_id) -> bool:
         return isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes
-
-    def __iter__(self):
-        return iter(range(self.num_nodes))
 
     def __len__(self) -> int:
         return self.num_nodes
 
-    def keys(self):
-        return range(self.num_nodes)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CSRAdjacency):
+            return NotImplemented
+        mine, theirs = self.effective_csr(), other.effective_csr()
+        return (self.num_nodes == other.num_nodes
+                and np.array_equal(mine[0], theirs[0])
+                and np.array_equal(mine[1], theirs[1]))
 
-    def values(self):
-        return (set(self.row_list(node_id)) for node_id in range(self.num_nodes))
-
-    def items(self):
-        return (
-            (node_id, set(self.row_list(node_id)))
-            for node_id in range(self.num_nodes)
-        )
+    __hash__ = None  # mutable
 
     # -- mutation --------------------------------------------------------------
     def __getitem__(self, node_id: int) -> Set[int]:
@@ -155,7 +139,7 @@ class CSRAdjacency:
         any access through here conservatively invalidates the effective-CSR
         memo.
         """
-        if not (isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes):
+        if node_id not in self:
             raise KeyError(node_id)
         node_id = int(node_id)
         overlay = self._overlay.get(node_id)
@@ -166,7 +150,7 @@ class CSRAdjacency:
         return overlay
 
     def __setitem__(self, node_id: int, value: Iterable[int]) -> None:
-        if not (isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes):
+        if node_id not in self:
             raise KeyError(node_id)
         self._overlay[int(node_id)] = set(value)
         self._version += 1
@@ -196,8 +180,7 @@ class CSRAdjacency:
 
     def copy(self) -> "CSRAdjacency":
         """Shares the immutable CSR arrays; deep-copies the mutation overlay."""
-        dup = CSRAdjacency(self.indptr, self.indices, self.num_nodes,
-                           validated=self.validated)
+        dup = CSRAdjacency(self.indptr, self.indices, self.num_nodes)
         dup._overlay = {nid: set(row) for nid, row in self._overlay.items()}
         return dup
 
@@ -227,16 +210,16 @@ def _ragged_gather(indptr: np.ndarray, indices: np.ndarray,
 
 
 class _AliveAdjacencyView:
-    """Lazy per-row alive-neighbour view over a CSR adjacency.
+    """Per-row alive-neighbour lists over a CSR adjacency, for one epoch.
 
-    Stands in for the eager ``{node: sorted alive neighbours}`` dict the
-    dict-mode :class:`PathCache` builds: the simulator's broadcast/flood paths
-    only ever call ``.get(node_id, default)``, so rows are materialized on
-    demand instead of all at once (which would be O(N+E) per epoch at 1M
-    nodes).
+    Rows are materialized on first use (``.get(node_id, default)`` is all the
+    simulator's broadcast/flood paths call), so building the view is O(1)
+    even at a million nodes.  Below :data:`NUMPY_BFS_MIN_NODES` each row is
+    also memoized for the epoch, which keeps ``neighbors()`` and
+    ``broadcast()`` at a dict lookup on mote-scale deployments.
     """
 
-    __slots__ = ("_indptr", "_indices", "_alive_mask", "_all_alive")
+    __slots__ = ("_indptr", "_indices", "_alive_mask", "_all_alive", "_memo")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  alive_mask: np.ndarray, all_alive: bool) -> None:
@@ -244,37 +227,113 @@ class _AliveAdjacencyView:
         self._indices = indices
         self._alive_mask = alive_mask
         self._all_alive = all_alive
+        self._memo: Optional[Dict[int, List[int]]] = (
+            {} if alive_mask.shape[0] < NUMPY_BFS_MIN_NODES else None
+        )
 
-    def _row(self, node_id: int) -> List[int]:
+    def get(self, node_id, default=None):
+        memo = self._memo
+        if memo is not None:
+            row = memo.get(node_id)
+            if row is not None:
+                return row
+        if not (isinstance(node_id, (int, np.integer))
+                and 0 <= node_id < self._alive_mask.shape[0]):
+            return default
+        node_id = int(node_id)
         row = self._indices[self._indptr[node_id]:self._indptr[node_id + 1]]
         if not self._all_alive:
             row = row[self._alive_mask[row]]
-        return row.tolist()
-
-    def get(self, node_id, default=None):
-        if isinstance(node_id, (int, np.integer)) and \
-                0 <= node_id < self._alive_mask.shape[0]:
-            return self._row(int(node_id))
-        return default
-
-    def __getitem__(self, node_id: int) -> List[int]:
-        row = self.get(node_id)
-        if row is None:
-            raise KeyError(node_id)
+        row = row.tolist()
+        if memo is not None:
+            memo[node_id] = row
         return row
 
-    def __contains__(self, node_id) -> bool:
-        return isinstance(node_id, (int, np.integer)) and \
-            0 <= node_id < self._alive_mask.shape[0]
+
+def _bfs_rows(rows, num_nodes: int,
+              source: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scalar BFS kernel: walk the alive rows node by node.
+
+    *rows* maps a node id to its sorted alive neighbours.  Discovery order is
+    frontier order x row order, first discoverer wins -- the order
+    :func:`_bfs_levels` reproduces level by level.
+    """
+    hops = [-1] * num_nodes
+    parents = [-1] * num_nodes
+    hops[source] = 0
+    parents[source] = source
+    order = [source]
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        next_frontier: List[int] = []
+        for current in frontier:
+            for neighbour in rows(current):
+                if hops[neighbour] < 0:
+                    hops[neighbour] = depth
+                    parents[neighbour] = current
+                    next_frontier.append(neighbour)
+        order.extend(next_frontier)
+        frontier = next_frontier
+    return (np.asarray(hops, dtype=np.int32), np.asarray(parents, dtype=np.int32),
+            np.asarray(order, dtype=np.int32))
+
+
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, alive_mask: np.ndarray,
+                source: int, rank: Optional[np.ndarray] = None
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level-synchronous numpy BFS kernel, identical output to :func:`_bfs_rows`.
+
+    Candidates are gathered level by level in (frontier order x row order)
+    order -- rows sorted by id, or by *rank* when given;
+    ``np.unique(..., return_index=True)`` keeps each node's first
+    occurrence, and re-sorting those indices restores the gather order --
+    exactly the "first discoverer wins" order of the scalar walk.
+    """
+    num_nodes = alive_mask.shape[0]
+    position = np.zeros(num_nodes, dtype=np.int64) if rank is not None else None
+    hops = np.full(num_nodes, -1, dtype=np.int32)
+    parents = np.full(num_nodes, -1, dtype=np.int32)
+    hops[source] = 0
+    parents[source] = source
+    frontier = np.asarray([source], dtype=np.int32)
+    order_chunks = [frontier]
+    depth = 0
+    while frontier.size:
+        depth += 1
+        candidates, sources = _ragged_gather(indptr, indices, frontier)
+        keep = alive_mask[candidates] & (hops[candidates] < 0)
+        candidates = candidates[keep]
+        sources = sources[keep]
+        if candidates.size == 0:
+            break
+        if rank is not None:
+            position[frontier] = np.arange(frontier.shape[0])
+            visit = np.lexsort((rank[candidates], position[sources]))
+            candidates = candidates[visit]
+            sources = sources[visit]
+        _, first = np.unique(candidates, return_index=True)
+        first.sort()
+        newly = candidates[first]
+        hops[newly] = depth
+        parents[newly] = sources[first]
+        order_chunks.append(newly)
+        frontier = newly
+    return hops, parents, np.concatenate(order_chunks)
 
 
 class PathCache:
     """Epoch-guarded routing cache for one :class:`Topology`.
 
-    Memoizes, per source node, the single-source BFS hop table and parent
-    table over the *alive* subgraph, plus reconstructed shortest paths, and
-    keeps a precomputed alive-adjacency structure so ``neighbors()`` stops
-    filtering and sorting on every call.
+    Memoizes, per source node, one BFS result over the *alive* subgraph --
+    int32 ``(hops, parents, order)`` vectors, -1 for unreachable -- plus
+    reconstructed shortest paths and the alive-adjacency view that
+    ``neighbors()`` and the simulator read.  Dict-shaped hop tables are
+    rebuilt from the vectors, in BFS discovery order, only when a caller asks
+    for them.  Landmark hop tables give approximate distances on the largest
+    deployments, where even one exact table per queried source is too much
+    state.
 
     Every structure is validated against the owning topology's routing epoch,
     which is bumped by ``remove_links_of`` / ``rebuild_links_of``, by node
@@ -282,40 +341,29 @@ class PathCache:
     state listener) and by explicit ``invalidate_routing_caches()`` calls, so
     failure and mobility experiments always see fresh tables.
 
-    BFS discovery order matches the uncached implementation exactly (frontier
-    order, sorted adjacency), so cached paths and hop tables are identical to
-    the ones the seed code computed from scratch.
-
-    When the owning topology carries a :class:`CSRAdjacency` the cache runs
-    in *array mode*: hop/parent tables are int32 numpy vectors computed by a
-    level-synchronous vectorized BFS whose discovery order is identical to
-    the dict BFS (frontier order x sorted rows, first discoverer wins), and
-    the dict-shaped API lazily rebuilds dictionaries in that same insertion
-    order only when a caller asks for them.  Array mode also offers
-    landmark-based approximate hop estimates for the largest deployments,
-    where even one exact BFS table per queried source is too much state.
+    :attr:`array_mode` is true when the numpy BFS kernel serves the topology
+    (at least :data:`NUMPY_BFS_MIN_NODES` nodes); both kernels return
+    identical results, so it only decides speed.
     """
 
     __slots__ = (
-        "_topology", "epoch", "alive_set", "alive_adjacency",
-        "_hops", "_parents", "_paths",
-        "array_mode", "_indptr", "_indices", "_alive_mask", "_all_alive",
-        "_arrays", "_landmarks",
+        "_topology", "epoch", "alive_set", "alive_adjacency", "array_mode",
+        "_indptr", "_indices", "_alive_mask", "_hops", "_paths", "_arrays",
+        "_landmarks",
     )
 
     def __init__(self, topology: "Topology") -> None:
         self._topology = topology
         self.epoch = -1
         self.alive_set: frozenset = frozenset()
-        self.alive_adjacency = {}
-        self._hops: Dict[int, Dict[int, int]] = {}
-        self._parents: Dict[int, Dict[int, int]] = {}
-        self._paths: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
-        self.array_mode = False
+        self.alive_adjacency: Optional[_AliveAdjacencyView] = None
+        self.array_mode = topology.num_nodes >= NUMPY_BFS_MIN_NODES
         self._indptr: Optional[np.ndarray] = None
         self._indices: Optional[np.ndarray] = None
         self._alive_mask: Optional[np.ndarray] = None
-        self._all_alive = True
+        #: source -> hop table dict in BFS discovery order
+        self._hops: Dict[int, Dict[int, int]] = {}
+        self._paths: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
         #: source -> (hops int32[n], parents int32[n], discovery order int32)
         self._arrays: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: landmark count -> (landmark ids int64[k], hop matrix int32[k, n])
@@ -327,105 +375,70 @@ class PathCache:
         topology = self._topology
         epoch = topology.routing_epoch
         if epoch != self.epoch:
-            nodes = topology.nodes
             adjacency = topology.adjacency
-            if isinstance(adjacency, CSRAdjacency):
-                self.array_mode = True
-                self._indptr, self._indices = adjacency.effective_csr()
-                num_nodes = adjacency.num_nodes
-                mask = np.ones(num_nodes, dtype=bool)
-                dead = [nid for nid, node in nodes.items() if not node.alive]
-                if dead:
-                    mask[np.asarray(dead, dtype=np.int64)] = False
-                    self.alive_set = frozenset(np.flatnonzero(mask).tolist())
-                else:
-                    self.alive_set = frozenset(range(num_nodes))
-                self._alive_mask = mask
-                self._all_alive = not dead
-                self.alive_adjacency = _AliveAdjacencyView(
-                    self._indptr, self._indices, mask, self._all_alive
-                )
+            self._indptr, self._indices = adjacency.effective_csr()
+            num_nodes = adjacency.num_nodes
+            mask = np.ones(num_nodes, dtype=bool)
+            dead = [nid for nid, node in topology.nodes.items() if not node.alive]
+            if dead:
+                mask[np.asarray(dead, dtype=np.int64)] = False
+                self.alive_set = frozenset(np.flatnonzero(mask).tolist())
             else:
-                self.array_mode = False
-                self._indptr = self._indices = self._alive_mask = None
-                self._all_alive = True
-                alive = frozenset(nid for nid, node in nodes.items() if node.alive)
-                self.alive_set = alive
-                self.alive_adjacency = {
-                    nid: sorted(n for n in neighbours if n in alive)
-                    for nid, neighbours in topology.adjacency.items()
-                }
+                self.alive_set = frozenset(range(num_nodes))
+            self._alive_mask = mask
+            self.alive_adjacency = _AliveAdjacencyView(
+                self._indptr, self._indices, mask, not dead
+            )
             self._hops.clear()
-            self._parents.clear()
             self._paths.clear()
             self._arrays.clear()
             self._landmarks.clear()
             self.epoch = epoch
         return self
 
-    # ------------------------------------------------------------------
-    # array-mode internals
-    # ------------------------------------------------------------------
-    def _array_bfs(self, source: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized alive-subgraph BFS with dict-identical discovery order.
+    @property
+    def alive_mask(self) -> np.ndarray:
+        """bool[n]: which nodes are alive in the validated epoch."""
+        return self._alive_mask
 
-        Candidates are gathered level by level in (frontier order x sorted
-        row) order; ``np.unique(..., return_index=True)`` keeps each node's
-        first occurrence, and re-sorting those indices restores the original
-        gather order -- exactly the "first discoverer wins" order of the
-        Python dict BFS.
-        """
+    def bfs(self, source: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Memoized ``(hops, parents, order)`` of a BFS from *source*."""
         cached = self._arrays.get(source)
-        if cached is not None:
-            return cached
-        indptr, indices, mask = self._indptr, self._indices, self._alive_mask
-        num_nodes = mask.shape[0]
-        hops = np.full(num_nodes, -1, dtype=np.int32)
-        parents = np.full(num_nodes, -1, dtype=np.int32)
-        hops[source] = 0
-        parents[source] = source
-        frontier = np.asarray([source], dtype=np.int32)
-        order_chunks = [frontier]
-        depth = 0
-        while frontier.size:
-            depth += 1
-            candidates, sources = _ragged_gather(indptr, indices, frontier)
-            if candidates.size == 0:
-                break
-            keep = mask[candidates] & (hops[candidates] < 0)
-            candidates = candidates[keep]
-            sources = sources[keep]
-            if candidates.size == 0:
-                break
-            _, first = np.unique(candidates, return_index=True)
-            first.sort()
-            newly = candidates[first]
-            hops[newly] = depth
-            parents[newly] = sources[first]
-            order_chunks.append(newly)
-            frontier = newly
-        order = np.concatenate(order_chunks)
-        result = (hops, parents, order)
-        self._arrays[source] = result
-        return result
+        if cached is None:
+            if self.array_mode:
+                cached = _bfs_levels(self._indptr, self._indices,
+                                     self._alive_mask, source)
+            else:
+                cached = _bfs_rows(self.alive_adjacency.get,
+                                   self._alive_mask.shape[0], source)
+            self._arrays[source] = cached
+        return cached
 
     def hops_array(self, source: int) -> np.ndarray:
-        """int32 hop vector from *source* (-1 = unreachable); array mode only."""
-        if not self.array_mode:
-            raise RuntimeError("hops_array requires a CSR-backed topology")
-        return self._array_bfs(source)[0]
+        """int32 hop vector from *source* (-1 = unreachable)."""
+        return self.bfs(source)[0]
 
-    def parents_array(self, source: int) -> np.ndarray:
-        if not self.array_mode:
-            raise RuntimeError("parents_array requires a CSR-backed topology")
-        return self._array_bfs(source)[1]
+    def ranked_bfs(self, source: int, rank: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """BFS that scans each node's neighbours in ascending *rank* order.
+
+        *rank* holds one distinct value per node.  Same kernels and result
+        shape as :meth:`bfs`; not memoized (routing trees call it once per
+        build with their own tie-break rank).
+        """
+        if self.array_mode:
+            return _bfs_levels(self._indptr, self._indices, self._alive_mask,
+                               source, rank)
+        rows, rank_of = self.alive_adjacency.get, rank.tolist().__getitem__
+        return _bfs_rows(lambda node: sorted(rows(node), key=rank_of),
+                         self._alive_mask.shape[0], source)
 
     # ------------------------------------------------------------------
     # landmark / approximate-BFS mode (largest rungs)
     # ------------------------------------------------------------------
     def landmark_tables(self, num_landmarks: int = 8
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Hop tables from *num_landmarks* spread sources (array mode only).
+        """Hop tables from *num_landmarks* spread sources.
 
         The base station is always the first landmark; the rest are spread
         deterministically over the id range.  Returns ``(landmark_ids,
@@ -433,8 +446,6 @@ class PathCache:
         landmark ``k`` to node ``n`` (-1 = unreachable).  Epoch-guarded like
         every other table in this cache.
         """
-        if not self.array_mode:
-            raise RuntimeError("landmark_tables requires a CSR-backed topology")
         num_nodes = self._alive_mask.shape[0]
         num_landmarks = max(1, min(int(num_landmarks), num_nodes))
         cached = self._landmarks.get(num_landmarks)
@@ -448,9 +459,7 @@ class PathCache:
             if candidate not in picks:
                 picks.append(candidate)
         landmark_ids = np.asarray(picks[:num_landmarks], dtype=np.int64)
-        matrix = np.vstack([
-            self._array_bfs(int(landmark))[0] for landmark in landmark_ids
-        ])
+        matrix = np.vstack([self.hops_array(int(landmark)) for landmark in landmark_ids])
         result = (landmark_ids, matrix)
         self._landmarks[num_landmarks] = result
         return result
@@ -473,67 +482,30 @@ class PathCache:
         return int((via_a[valid].astype(np.int64) + via_b[valid]).min())
 
     # ------------------------------------------------------------------
-    def bfs_tables(self, source: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Memoized (hops, parents) tables of a BFS over the alive subgraph."""
+    def hop_table(self, source: int) -> Dict[int, int]:
+        """Memoized ``{node: hops}`` from *source*, in BFS discovery order."""
         hops = self._hops.get(source)
         if hops is None:
-            if self.array_mode:
-                hops_arr, parents_arr, order = self._array_bfs(source)
-                hops = {}
-                parents = {}
-                for nid, hop, parent in zip(order.tolist(),
-                                            hops_arr[order].tolist(),
-                                            parents_arr[order].tolist()):
-                    hops[nid] = hop
-                    parents[nid] = parent
-            else:
-                adjacency = self.alive_adjacency
-                hops = {source: 0}
-                parents = {source: source}
-                frontier = [source]
-                depth = 0
-                while frontier:
-                    depth += 1
-                    next_frontier: List[int] = []
-                    for current in frontier:
-                        for neighbour in adjacency.get(current, ()):
-                            if neighbour not in hops:
-                                hops[neighbour] = depth
-                                parents[neighbour] = current
-                                next_frontier.append(neighbour)
-                    frontier = next_frontier
+            hops_arr, _, order = self.bfs(source)
+            order_list = order.tolist()
+            hops = dict(zip(order_list, hops_arr[order].tolist()))
             self._hops[source] = hops
-            self._parents[source] = parents
-        return hops, self._parents[source]
+        return hops
 
     def path(self, source: int, target: int) -> Optional[Tuple[int, ...]]:
         """Memoized minimum-hop path (as a tuple), or ``None``."""
         key = (source, target)
         if key in self._paths:
             return self._paths[key]
-        if self.array_mode:
-            # Climb the int32 parent vector directly: no per-pair Python
-            # dict tables are materialized for path queries at scale.
-            hops_arr, parents_arr, _ = self._array_bfs(source)
-            if hops_arr[target] < 0 and target != source:
-                self._paths[key] = None
-                return None
+        hops_arr, parents_arr, _ = self.bfs(source)
+        if hops_arr[target] < 0 and target != source:
+            result = None
+        else:
             path = [int(target)]
             while path[-1] != source:
                 path.append(int(parents_arr[path[-1]]))
             path.reverse()
             result = tuple(path)
-            self._paths[key] = result
-            return result
-        _, parents = self.bfs_tables(source)
-        if target not in parents:
-            self._paths[key] = None
-            return None
-        path = [target]
-        while path[-1] != source:
-            path.append(parents[path[-1]])
-        path.reverse()
-        result = tuple(path)
         self._paths[key] = result
         return result
 
@@ -542,45 +514,29 @@ class PathCache:
 class Topology:
     """An immutable-ish deployment: node set plus symmetric adjacency.
 
-    The base station is always present and is, by convention, the node whose
-    id equals :attr:`base_id`.
+    Node ids are ``0..n-1``.  The base station is always present and is, by
+    convention, the node whose id equals :attr:`base_id`.  *adjacency* is a
+    :class:`CSRAdjacency`; a hand-written ``{node: neighbours}`` mapping is
+    also accepted, validated once and converted.
     """
 
     nodes: Dict[int, SensorNode]
-    adjacency: Dict[int, Set[int]]
+    adjacency: CSRAdjacency
     base_id: int = 0
     radio_range: float = 0.0
     name: str = "topology"
     area: Tuple[float, float] = (0.0, 0.0)
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    #: Class-level kill switch for the routing caches (equivalence tests):
-    #: when False, neighbour/path/hop queries -- and the simulator's
-    #: alive-set/adjacency reads -- recompute from scratch on every call,
-    #: like the pre-cache implementation.  The vectorized transfer
-    #: accounting is governed separately by ``NetworkSimulator``'s
-    #: ``fast_transport`` flag.
-    routing_cache_enabled: ClassVar[bool] = True
-
     def __post_init__(self) -> None:
         if self.base_id not in self.nodes:
             raise ValueError("base_id must refer to an existing node")
-        if isinstance(self.adjacency, CSRAdjacency) and self.adjacency.validated:
-            # Symmetry is guaranteed by the sparse generator (every pair is
-            # inserted in both directions); re-checking would cost O(E)
-            # Python per construction, which is what this representation
-            # exists to avoid.  Validation is thereby O(1) amortized.
-            if self.adjacency.num_nodes != len(self.nodes):
+        num_nodes = len(self.nodes)
+        if isinstance(self.adjacency, CSRAdjacency):
+            if self.adjacency.num_nodes != num_nodes:
                 raise ValueError("CSR adjacency size does not match node count")
         else:
-            for node_id, neighbours in self.adjacency.items():
-                if node_id not in self.nodes:
-                    raise ValueError(f"adjacency references unknown node {node_id}")
-                for other in neighbours:
-                    if other not in self.nodes:
-                        raise ValueError(f"adjacency references unknown node {other}")
-                    if node_id not in self.adjacency.get(other, set()):
-                        raise ValueError("adjacency must be symmetric")
+            self.adjacency = self._convert_mapping(self.adjacency)
         self.nodes[self.base_id].is_base = True
         self._routing_epoch = 0
         self._path_cache = PathCache(self)
@@ -591,6 +547,21 @@ class Topology:
         # when triggered directly on the node (e.g. by a FailureInjector).
         for node in self.nodes.values():
             node._state_listener = self.invalidate_routing_caches
+
+    def _convert_mapping(self, mapping: Mapping[int, Iterable[int]]) -> CSRAdjacency:
+        """Validate a hand-written adjacency mapping and convert it to CSR."""
+        num_nodes = len(self.nodes)
+        if sorted(self.nodes) != list(range(num_nodes)):
+            raise ValueError("node ids must be 0..n-1")
+        for node_id, neighbours in mapping.items():
+            if node_id not in self.nodes:
+                raise ValueError(f"adjacency references unknown node {node_id}")
+            for other in neighbours:
+                if other not in self.nodes:
+                    raise ValueError(f"adjacency references unknown node {other}")
+                if node_id not in mapping.get(other, ()):
+                    raise ValueError("adjacency must be symmetric")
+        return CSRAdjacency.from_mapping(mapping, num_nodes)
 
     # -- routing-cache control -------------------------------------------------
     @property
@@ -637,28 +608,17 @@ class Topology:
     def neighbors(self, node_id: int, only_alive: bool = True) -> List[int]:
         """Neighbours of a node, optionally filtering out failed nodes.
 
-        The alive view always comes from the epoch-validated adjacency in the
-        routing cache, so the per-call cost is one row copy; the cache
-        rebuilds at most once per connectivity change instead of re-filtering
-        ``nodes[n].alive`` and re-sorting on every invocation.  (The
-        ``routing_cache_enabled`` kill switch governs the BFS/path
-        memoization, not this precomputed view -- the view is rebuilt per
-        epoch either way and returns identical results.)
+        The alive view comes from the epoch-validated routing cache, so the
+        per-call cost is one row copy.
         """
         if not only_alive:
-            adjacency = self.adjacency
-            if isinstance(adjacency, CSRAdjacency):
-                return adjacency.row_list(node_id)
-            return sorted(adjacency.get(node_id, set()))
+            return self.adjacency.row_list(node_id)
         return list(self._path_cache.validate().alive_adjacency.get(node_id, ()))
 
     def average_degree(self) -> float:
         if not self.nodes:
             return 0.0
-        adjacency = self.adjacency
-        if isinstance(adjacency, CSRAdjacency):
-            return adjacency.total_degree() / len(self.nodes)
-        return sum(len(v) for v in adjacency.values()) / len(self.nodes)
+        return self.adjacency.total_degree() / len(self.nodes)
 
     def positions(self) -> Dict[int, Position]:
         """Node positions (memoized per routing epoch -- treat as read-only).
@@ -679,29 +639,9 @@ class Topology:
 
     # -- graph algorithms ------------------------------------------------------
     def is_connected(self, only_alive: bool = True) -> bool:
-        if isinstance(self.adjacency, CSRAdjacency):
-            return self._is_connected_array(only_alive)
-        node_ids = [
-            nid for nid, node in self.nodes.items() if node.alive or not only_alive
-        ]
-        if not node_ids:
-            return True
-        seen = {node_ids[0]}
-        frontier = [node_ids[0]]
-        eligible = set(node_ids)
-        while frontier:
-            current = frontier.pop()
-            for neighbour in self.adjacency.get(current, ()):  # symmetric
-                if neighbour in eligible and neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen) == len(eligible)
-
-    def _is_connected_array(self, only_alive: bool) -> bool:
-        """Vectorized connectivity check over the CSR adjacency."""
-        adjacency = self.adjacency
-        indptr, indices = adjacency.effective_csr()
-        num_nodes = adjacency.num_nodes
+        """Whether the (alive) nodes form one connected component."""
+        indptr, indices = self.adjacency.effective_csr()
+        num_nodes = self.adjacency.num_nodes
         eligible = np.ones(num_nodes, dtype=bool)
         if only_alive:
             dead = [nid for nid, node in self.nodes.items() if not node.alive]
@@ -717,8 +657,6 @@ class Topology:
         frontier = np.asarray([start], dtype=np.int32)
         while frontier.size:
             candidates, _ = _ragged_gather(indptr, indices, frontier)
-            if candidates.size == 0:
-                break
             candidates = np.unique(candidates[eligible[candidates] & ~seen[candidates]])
             if candidates.size == 0:
                 break
@@ -727,87 +665,41 @@ class Topology:
             frontier = candidates.astype(np.int32, copy=False)
         return num_seen == total
 
-    def shortest_hops(self, source: int, only_alive: bool = True) -> Dict[int, int]:
-        """Hop counts from *source* to every reachable node (BFS).
+    def shortest_hops(self, source: int) -> Dict[int, int]:
+        """Hop counts from *source* to every reachable alive node (BFS).
 
-        Served from the epoch-guarded :class:`PathCache` for the default
-        alive view; the returned dictionary is a copy the caller may mutate.
+        Served from the epoch-guarded :class:`PathCache`; the returned
+        dictionary is a copy the caller may mutate.
         """
-        if source not in self.nodes:
-            raise KeyError(f"unknown node {source}")
-        if only_alive and self.routing_cache_enabled:
-            return dict(self._path_cache.validate().bfs_tables(source)[0])
-        return self._bfs_hops_uncached(source, only_alive=only_alive)
+        return dict(self.shortest_hops_view(source))
 
     def shortest_hops_view(self, source: int) -> Dict[int, int]:
         """The cached alive-subgraph hop table itself (treat as read-only).
 
-        Hot callers (centralized optimizer, multi-tree root selection) use
-        this to avoid the defensive copy :meth:`shortest_hops` makes.
+        Hot callers (centralized optimizer, figure depth tables) use this to
+        avoid the defensive copy :meth:`shortest_hops` makes.
         """
         if source not in self.nodes:
             raise KeyError(f"unknown node {source}")
-        if not self.routing_cache_enabled:
-            return self._bfs_hops_uncached(source, only_alive=True)
-        return self._path_cache.validate().bfs_tables(source)[0]
+        return self._path_cache.validate().hop_table(source)
 
-    def _bfs_hops_uncached(
-        self, source: int, only_alive: bool, stop_at: Optional[int] = None
-    ) -> Dict[int, int]:
-        """Fresh BFS hop table; exits early once *stop_at* is reached."""
-        hops = {source: 0}
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for current in frontier:
-                for neighbour in self.neighbors(current, only_alive=only_alive):
-                    if neighbour not in hops:
-                        hops[neighbour] = hops[current] + 1
-                        if neighbour == stop_at:
-                            return hops
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return hops
-
-    def shortest_path(
-        self, source: int, target: int, only_alive: bool = True
-    ) -> Optional[List[int]]:
-        """A minimum-hop path from *source* to *target*, or ``None``."""
+    def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
+        """A minimum-hop path over alive nodes, or ``None``."""
         if source == target:
             return [source]
-        if only_alive and self.routing_cache_enabled:
-            cached = self._path_cache.validate().path(source, target)
-            return None if cached is None else list(cached)
-        parents: Dict[int, int] = {source: source}
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for current in frontier:
-                for neighbour in self.neighbors(current, only_alive=only_alive):
-                    if neighbour in parents:
-                        continue
-                    parents[neighbour] = current
-                    if neighbour == target:
-                        return _reconstruct(parents, source, target)
-                    next_frontier.append(neighbour)
-            frontier = next_frontier
-        return None
+        cached = self._path_cache.validate().path(source, target)
+        return None if cached is None else list(cached)
 
-    def hops_between(self, a: int, b: int, only_alive: bool = True) -> Optional[int]:
-        """Hop count between two nodes, without reconstructing the path.
-
-        The alive view is a lookup in the cached BFS hop table; the full view
-        runs a distance-only BFS that exits as soon as *b* is discovered.
-        """
+    def hops_between(self, a: int, b: int) -> Optional[int]:
+        """Hop count between two nodes over alive nodes, or ``None``."""
         if a == b:
             return 0
-        if only_alive and self.routing_cache_enabled:
-            return self._path_cache.validate().bfs_tables(a)[0].get(b)
-        return self._bfs_hops_uncached(a, only_alive=only_alive, stop_at=b).get(b)
+        hops = int(self._path_cache.validate().hops_array(a)[b])
+        return None if hops < 0 else hops
 
     # -- mutation (used by mobility and failures) -----------------------------
     def remove_links_of(self, node_id: int) -> None:
-        for other in list(self.adjacency.get(node_id, ())):
+        for other in self.adjacency.row_list(node_id):
             self.adjacency[other].discard(node_id)
         self.adjacency[node_id] = set()
         self.invalidate_routing_caches()
@@ -839,13 +731,9 @@ class Topology:
             )
             for nid, n in self.nodes.items()
         }
-        if isinstance(self.adjacency, CSRAdjacency):
-            adjacency = self.adjacency.copy()
-        else:
-            adjacency = {nid: set(neigh) for nid, neigh in self.adjacency.items()}
         return Topology(
             nodes=nodes,
-            adjacency=adjacency,
+            adjacency=self.adjacency.copy(),
             base_id=self.base_id,
             radio_range=self.radio_range,
             name=self.name,
@@ -854,89 +742,8 @@ class Topology:
         )
 
 
-def _reconstruct(parents: Dict[int, int], source: int, target: int) -> List[int]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
-
-
 # ---------------------------------------------------------------------------
-# Generators
-# ---------------------------------------------------------------------------
-
-def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    diffs = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diffs ** 2).sum(axis=-1))
-
-
-def _adjacency_from_distances(
-    ids: Sequence[int], dists: np.ndarray, radio_range: float
-) -> Dict[int, Set[int]]:
-    adjacency: Dict[int, Set[int]] = {i: set() for i in ids}
-    if len(ids) < 2:
-        return adjacency
-    within = dists <= radio_range
-    np.fill_diagonal(within, False)
-    rows, cols = np.nonzero(within)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        adjacency[ids[row]].add(ids[col])
-    return adjacency
-
-
-def _adjacency_for_range(
-    positions: Dict[int, Position], radio_range: float
-) -> Dict[int, Set[int]]:
-    ids = sorted(positions)
-    if len(ids) < 2:
-        return {i: set() for i in ids}
-    coords = np.array([positions[i] for i in ids], dtype=float)
-    return _adjacency_from_distances(ids, _pairwise_distances(coords), radio_range)
-
-
-def _average_degree(adjacency: Dict[int, Set[int]]) -> float:
-    if not adjacency:
-        return 0.0
-    return sum(len(v) for v in adjacency.values()) / len(adjacency)
-
-
-def _solve_radio_range(
-    positions: Dict[int, Position], target_degree: float
-) -> Tuple[float, Dict[int, Set[int]]]:
-    """Binary-search the disc radius so the average degree hits the target.
-
-    The pairwise distance matrix is computed once and each probe of the
-    search is a vectorized threshold count; the adjacency sets are only
-    materialized for the final radius.  The iteration sequence (and therefore
-    the returned radius and adjacency) is identical to probing with fully
-    built adjacencies, since the average degree equals the count of
-    off-diagonal entries within range divided by the node count.
-    """
-    ids = sorted(positions)
-    coords = np.array([positions[i] for i in ids], dtype=float)
-    span = float(np.max(coords) - np.min(coords)) if len(coords) else 1.0
-    lo, hi = 1e-6, max(span * 2.0, 1.0)
-    if len(ids) < 2:
-        return hi, {i: set() for i in ids}
-    dists = _pairwise_distances(coords)
-    num_nodes = len(ids)
-
-    def degree_at(radius: float) -> float:
-        # The diagonal (distance 0) is always within range; subtract it.
-        return float((dists <= radius).sum() - num_nodes) / num_nodes
-
-    for _ in range(48):
-        mid = (lo + hi) / 2.0
-        if degree_at(mid) < target_degree:
-            lo = mid
-        else:
-            hi = mid
-    return hi, _adjacency_from_distances(ids, dists, hi)
-
-
-# ---------------------------------------------------------------------------
-# Sparse (grid-bucketed) generation -- no dense N x N distance matrix
+# Generators: grid-bucketed pair search -- no dense N x N distance matrix
 # ---------------------------------------------------------------------------
 
 def _radius_candidate_pairs(
@@ -951,9 +758,7 @@ def _radius_candidate_pairs(
     (sort + searchsorted + ragged gathers): scipy is optional in the target
     environments, so no cKDTree.
 
-    Returns ``(i, j, dist)`` with ``dist`` computed exactly as the dense
-    ``_pairwise_distances`` does (``sqrt(dx*dx + dy*dy)`` in float64), so
-    threshold decisions downstream are bit-identical to the dense path.
+    Returns ``(i, j, dist)`` with ``dist = sqrt(dx*dx + dy*dy)`` in float64.
     """
     num_points = xs.shape[0]
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -1019,23 +824,28 @@ def _csr_from_pairs(i: np.ndarray, j: np.ndarray, num_nodes: int) -> CSRAdjacenc
     dst = dst[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    return CSRAdjacency(indptr, dst.astype(np.int32), num_nodes, validated=True)
+    return CSRAdjacency(indptr, dst.astype(np.int32), num_nodes)
 
 
-def _solve_radio_range_sparse(
+def _csr_within(positions: Sequence[Position], radius: float) -> CSRAdjacency:
+    """Disc-model adjacency: every pair of points at most *radius* apart."""
+    coords = np.asarray(positions, dtype=float).reshape(-1, 2)
+    i, j, _ = _radius_candidate_pairs(coords[:, 0], coords[:, 1], radius)
+    return _csr_from_pairs(i, j, coords.shape[0])
+
+
+def _radius_for_degree(
     xs: np.ndarray, ys: np.ndarray, target_degree: float
 ) -> Tuple[float, CSRAdjacency]:
-    """Sparse replication of :func:`_solve_radio_range`, bit-identical result.
+    """Bisect the disc radius so the average degree hits *target_degree*.
 
+    48 bisection steps over ``[1e-6, 2 * span]``: a probe below the target
+    raises ``lo``, any other lowers ``hi``, and ``hi`` is the radius.
     Candidate pairs are gathered once within an upper-bound radius whose
-    exact degree already reaches the target; each bisection probe below that
-    bound is then an exact ``searchsorted`` count over the sorted candidate
-    distances (the same numerator the dense probe computes), and probes above
-    the bound take the "degree >= target" branch by monotonicity -- the
-    branch the dense probe would take too.  The bisection therefore walks the
-    identical (lo, hi) sequence and returns the identical radius, and the
-    final adjacency holds the identical edge set, without ever materializing
-    the N x N distance matrix.
+    exact degree already reaches the target; each probe below that bound is
+    an exact ``searchsorted`` count over the sorted candidate distances, and
+    probes above it take the "degree >= target" branch by monotonicity.  The
+    N x N distance matrix is never materialized.
     """
     num_nodes = xs.shape[0]
     span = float(max(xs.max(), ys.max()) - min(xs.min(), ys.min())) if num_nodes else 1.0
@@ -1069,8 +879,7 @@ def _solve_radio_range_sparse(
             count = int(np.searchsorted(dist_sorted, mid, side="right"))
             below_target = float(2 * count) / num_nodes < target_degree
         else:
-            # degree(mid) >= degree(r_bound) >= target by monotonicity; the
-            # dense probe would take the same else-branch.
+            # degree(mid) >= degree(r_bound) >= target by monotonicity
             below_target = False
         if below_target:
             lo = mid
@@ -1098,53 +907,30 @@ def random_topology(
     seed: int = 0,
     name: Optional[str] = None,
     max_attempts: int = 50,
-    sparse: Optional[bool] = None,
 ) -> Topology:
     """Generate a connected random deployment with a target average degree.
 
     Nodes are placed uniformly at random on an ``area_size x area_size``
     square (the paper uses a 256 m x 256 m grid for ``pos``).  The base
     station is the node closest to the centre of the area, mirroring typical
-    deployments where the sink is centrally placed.
-
-    *sparse* selects the grid-bucketed generator + CSR adjacency (see
-    :func:`sparse_mode_enabled` for the default resolution).  Both paths
-    draw the same placements from the same RNG stream and solve the same
-    radius bisection, so for a given seed they produce the same topology --
-    the sparse one merely never materializes the N x N distance matrix.
+    deployments where the sink is centrally placed (the lowest id wins a
+    tie).
     """
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
     if average_degree <= 0:
         raise ValueError("average_degree must be positive")
-    use_sparse = sparse_mode_enabled(num_nodes, sparse)
     rng = np.random.default_rng(seed)
     for attempt in range(max_attempts):
         xs = rng.uniform(0.0, area_size, size=num_nodes)
         ys = rng.uniform(0.0, area_size, size=num_nodes)
-        positions = {i: (float(xs[i]), float(ys[i])) for i in range(num_nodes)}
-        if use_sparse:
-            radio_range, adjacency = _solve_radio_range_sparse(
-                xs, ys, average_degree
-            )
-        else:
-            radio_range, adjacency = _solve_radio_range(positions, average_degree)
+        radio_range, adjacency = _radius_for_degree(xs, ys, average_degree)
         nodes = {
-            i: SensorNode(node_id=i, position=positions[i]) for i in range(num_nodes)
+            i: SensorNode(node_id=i, position=(x, y))
+            for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))
         }
-        centre = (area_size / 2.0, area_size / 2.0)
-        if use_sparse:
-            # argmin = first occurrence of the minimum, the same tie rule as
-            # min() over the id-ascending dict below.
-            base_id = int(np.argmin(
-                (xs - centre[0]) ** 2 + (ys - centre[1]) ** 2
-            ))
-        else:
-            base_id = min(
-                positions,
-                key=lambda i: (positions[i][0] - centre[0]) ** 2
-                + (positions[i][1] - centre[1]) ** 2,
-            )
+        centre = area_size / 2.0
+        base_id = int(np.argmin((xs - centre) ** 2 + (ys - centre) ** 2))
         topology = Topology(
             nodes=nodes,
             adjacency=adjacency,
@@ -1215,7 +1001,7 @@ def grid_topology(
             positions[node_id] = (col * spacing, row * spacing)
     # 8-connectivity: diagonal distance is spacing * sqrt(2)
     radio_range = spacing * 1.5
-    adjacency = _adjacency_for_range(positions, radio_range)
+    adjacency = _csr_within([positions[i] for i in range(num_nodes)], radio_range)
     nodes = {i: SensorNode(node_id=i, position=positions[i]) for i in positions}
     centre_id = (side // 2) * side + side // 2
     topology = Topology(
@@ -1261,7 +1047,7 @@ def intel_lab_topology(radio_range: float = 7.5, name: str = "intel") -> Topolog
     for the Intel dataset deployment.
     """
     positions = {i: pos for i, pos in enumerate(_INTEL_LAB_POSITIONS)}
-    adjacency = _adjacency_for_range(positions, radio_range)
+    adjacency = _csr_within(_INTEL_LAB_POSITIONS, radio_range)
     nodes = {i: SensorNode(node_id=i, position=positions[i]) for i in positions}
     # The base station sits by the lab entrance near the corridor centre.
     base_id = 51

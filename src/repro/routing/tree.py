@@ -10,14 +10,13 @@ lowest common ancestor and descend.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.network.message import MessageKind
 from repro.network.simulator import NetworkSimulator
-from repro.network.topology import CSRAdjacency, Topology
+from repro.network.topology import Topology
 
 
 class RoutingTree:
@@ -45,87 +44,27 @@ class RoutingTree:
     def build(self) -> None:
         """(Re)build the tree with a BFS from the root over alive nodes.
 
-        Ties between candidate parents at equal depth are broken by node id
-        (shifted by ``tie_break_seed`` so different trees over the same
-        topology do not always pick the same parents).
+        Each node scans its alive neighbours in ``((id + tie_break_seed) % 7,
+        id)`` order, so different trees over the same topology do not always
+        pick the same parents, and a node's first discoverer becomes its
+        parent.  Children lists are appended in discovery order.
         """
+        num_nodes = self.topology.num_nodes
+        ids = np.arange(num_nodes, dtype=np.int64)
+        rank = (ids + self.tie_break_seed) % 7 * num_nodes + ids
+        hops, parents, order = self.topology.routing_cache.ranked_bfs(self.root, rank)
         self.parent = {self.root: None}
         self.children = {self.root: []}
         self.depth = {self.root: 0}
         self._paths_to_root = {}
         self._routes = {}
-        if isinstance(self.topology.adjacency, CSRAdjacency):
-            self._build_from_arrays()
-            return
-        queue = deque([self.root])
-        while queue:
-            current = queue.popleft()
-            neighbours = self.topology.neighbors(current)
-            # Deterministic but seed-dependent ordering.
-            neighbours.sort(key=lambda n: ((n + self.tie_break_seed) % 7, n))
-            for neighbour in neighbours:
-                if neighbour in self.parent:
-                    continue
-                self.parent[neighbour] = current
-                self.children.setdefault(current, []).append(neighbour)
-                self.children.setdefault(neighbour, [])
-                self.depth[neighbour] = self.depth[current] + 1
-                queue.append(neighbour)
-
-    def _build_from_arrays(self) -> None:
-        """Vectorized BFS construction over a CSR-backed topology.
-
-        Produces exactly the tree the dict BFS builds: each level gathers all
-        alive frontier neighbours, orders them by (frontier position,
-        (id + tie_break_seed) % 7, id) -- the per-node neighbour sort of the
-        scalar loop -- and keeps each node's first discoverer as its parent.
-        Children lists are appended in that same discovery order.
-        """
-        cache = self.topology.routing_cache
-        indptr, indices = self.topology.adjacency.effective_csr()
-        mask = cache._alive_mask
-        seed = self.tie_break_seed
-        discovered = np.zeros(mask.shape[0], dtype=bool)
-        discovered[self.root] = True
-        frontier = np.asarray([self.root], dtype=np.int64)
-        parent = self.parent
-        children = self.children
-        depth_map = self.depth
-        depth = 0
-        while frontier.size:
-            depth += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            offsets = np.cumsum(counts) - counts
-            within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-            candidates = indices[np.repeat(starts, counts) + within].astype(np.int64)
-            sources = np.repeat(frontier, counts)
-            frontier_pos = np.repeat(np.arange(frontier.shape[0]), counts)
-            keep = mask[candidates] & ~discovered[candidates]
-            candidates = candidates[keep]
-            sources = sources[keep]
-            frontier_pos = frontier_pos[keep]
-            if candidates.size == 0:
-                break
-            visit = np.lexsort(
-                (candidates, (candidates + seed) % 7, frontier_pos)
-            )
-            candidates = candidates[visit]
-            sources = sources[visit]
-            _, first = np.unique(candidates, return_index=True)
-            first.sort()
-            newly = candidates[first]
-            adopters = sources[first]
-            discovered[newly] = True
-            for node, chosen_parent in zip(newly.tolist(), adopters.tolist()):
-                parent[node] = chosen_parent
-                children.setdefault(chosen_parent, []).append(node)
-                children.setdefault(node, [])
-                depth_map[node] = depth
-            frontier = newly
+        order = order[1:]
+        for node, parent, depth in zip(order.tolist(), parents[order].tolist(),
+                                       hops[order].tolist()):
+            self.parent[node] = parent
+            self.children[parent].append(node)
+            self.children[node] = []
+            self.depth[node] = depth
 
     def construction_traffic(self, simulator: NetworkSimulator,
                              beacon_bytes: int = 13) -> int:

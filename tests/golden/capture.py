@@ -1,21 +1,18 @@
-"""(Re)write the golden corpus from the reference substrate.
+"""(Re)write the golden corpus from the current substrate.
 
 Usage::
 
     PYTHONPATH=src python tests/golden/capture.py
 
-Every fact is computed on the dict adjacency with the routing caches off
-(``REPRO_SPARSE=0``, ``Topology.routing_cache_enabled = False``), then
-recomputed on the default substrate and on the CSR substrate with caches on;
-the corpus is only written when all three agree exactly.
+The checked-in corpus was captured from the dict adjacency with the routing
+caches off, and matched the CSR substrate with caches on exactly, before the
+dict substrate was retired.  Re-run this only when a change alters the pinned
+outputs on purpose, and say so where the change is recorded.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -23,64 +20,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import golden_facts as gf  # noqa: E402
 
 
-@contextlib.contextmanager
-def substrate(sparse: str, cached: bool):
-    from repro.network.topology import Topology
-
-    saved = os.environ.get("REPRO_SPARSE")
-    os.environ["REPRO_SPARSE"] = sparse
-    Topology.routing_cache_enabled = cached
-    try:
-        yield
-    finally:
-        Topology.routing_cache_enabled = True
-        if saved is None:
-            os.environ.pop("REPRO_SPARSE", None)
-        else:
-            os.environ["REPRO_SPARSE"] = saved
-
-
-CONFIGS = {
-    "reference": ("0", False),
-    "default": ("", True),
-    "csr": ("1", True),
-}
-
-
-def collect():
-    return {
-        "topology": {
-            label: gf.topology_timeline(factory())
-            for label, factory in gf.topology_cases()
-        },
-        "runs": {
-            label: gf.run_facts(name, overrides, keep)
-            for label, name, overrides, keep in gf.RUN_CASES
-        },
-        "figures": {name: rows() for name, rows in gf.FIGURES.items()},
-        "service": gf.service_facts(),
-    }
-
-
 def main() -> int:
-    results = {}
-    for name, (sparse, cached) in CONFIGS.items():
-        started = time.perf_counter()
-        with substrate(sparse, cached):
-            results[name] = collect()
-        print(f"{name}: {time.perf_counter() - started:.1f}s", flush=True)
-    reference = results["reference"]
-    mismatched = [
-        (name, part)
-        for name, facts in results.items()
-        for part in reference
-        if facts[part] != reference[part]
-    ]
-    if mismatched:
-        print(f"substrates disagree: {mismatched}", file=sys.stderr)
-        return 1
-    for part, payload in reference.items():
-        gf.dump(part, payload)
+    gf.dump("topology", {
+        label: gf.topology_timeline(factory())
+        for label, factory in gf.topology_cases()
+    })
+    gf.dump("runs", {
+        label: gf.run_facts(name, overrides, keep)
+        for label, name, overrides, keep in gf.RUN_CASES
+    })
+    gf.dump("figures", {name: rows() for name, rows in gf.FIGURES.items()})
+    gf.dump("service", gf.service_facts())
     return 0
 
 

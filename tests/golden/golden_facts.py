@@ -171,7 +171,8 @@ def state_facts(topology) -> Dict[str, Any]:
 VERBATIM_FACTS = ("connected", "multitree_roots", "ght", "dht")
 
 
-def _pinned(facts: Dict[str, Any]) -> Dict[str, Any]:
+def pin(facts: Dict[str, Any]) -> Dict[str, Any]:
+    """State facts as the corpus stores them: bulky ones digested."""
     return {
         name: value if name in VERBATIM_FACTS else digest(value)
         for name, value in facts.items()
@@ -201,7 +202,7 @@ def topology_timeline(topology) -> Dict[str, Any]:
         "states": {},
     }
     states = facts["states"]
-    states["initial"] = _pinned(state_facts(topology))
+    states["initial"] = pin(state_facts(topology))
 
     victim = _busiest_relay(topology)
     tree = RoutingTree(topology)
@@ -210,9 +211,9 @@ def topology_timeline(topology) -> Dict[str, Any]:
     facts["failed"] = victim
     facts["repair"] = {"unattached": unattached,
                        "tree": digest(_tree_facts(tree))}
-    states["failed"] = _pinned(state_facts(topology))
+    states["failed"] = pin(state_facts(topology))
     topology.nodes[victim].recover()
-    states["recovered"] = _pinned(state_facts(topology))
+    states["recovered"] = pin(state_facts(topology))
 
     leaf = next(
         n for n in reversed(topology.node_ids)
@@ -220,9 +221,9 @@ def topology_timeline(topology) -> Dict[str, Any]:
     )
     facts["unlinked"] = leaf
     topology.remove_links_of(leaf)
-    states["unlinked"] = _pinned(state_facts(topology))
+    states["unlinked"] = pin(state_facts(topology))
     facts["relinked_neighbours"] = topology.rebuild_links_of(leaf)
-    states["relinked"] = _pinned(state_facts(topology))
+    states["relinked"] = pin(state_facts(topology))
 
     mobile = next(
         n for n in reversed(topology.node_ids)
@@ -231,7 +232,7 @@ def topology_timeline(topology) -> Dict[str, Any]:
     x, y = topology.nodes[mobile].position
     event = move_leaf_node(topology, mobile, (x + topology.radio_range / 3, y))
     facts["moved"] = [mobile, list(event.removed_links), list(event.added_links)]
-    states["moved"] = _pinned(state_facts(topology))
+    states["moved"] = pin(state_facts(topology))
     return normalize(facts)
 
 

@@ -1,90 +1,94 @@
-"""Sparse-substrate parity: CSR topologies are bit-identical to dict ones.
+"""CSR substrate parity: every topology query matches the golden corpus.
 
-The scale ladder's CSR adjacency, grid-bucketed generation and array BFS are
-opt-in representations of the *same* topology: every query -- adjacency rows,
-radio range, hop tables (including dict iteration order), shortest paths,
-connectivity, routing-tree structure, GHT/DHT home nodes -- must agree with
-the dense/dict reference on the same seed, through mutations, and end to end
-through the experiment harness with ``REPRO_SPARSE=1``.
+The corpus (``tests/golden/``) was captured from the retired dict adjacency
+with the routing caches off.  The CSR substrate must reproduce it exactly:
+adjacency rows, radio range, hop tables (including dict iteration order),
+shortest paths, connectivity, routing-tree structure, GHT/DHT home nodes --
+on the same seeds, through mutations, and end to end through figure runs.
 """
+
+from functools import lru_cache
 
 import pytest
 
+import golden_facts as gf
+from repro.network.node import SensorNode
 from repro.network.topology import (
-    SPARSE_NODE_THRESHOLD,
-    CSRAdjacency,
+    NUMPY_BFS_MIN_NODES,
+    Topology,
     random_topology,
     scale_preset_degree,
-    sparse_mode_enabled,
     topology_from_preset,
 )
-from repro.routing.dht import DHTSubstrate
-from repro.routing.ght import GHTSubstrate
-from repro.routing.multitree import MultiTreeSubstrate
-from repro.routing.tree import RoutingTree
 
 SEEDS = [0, 1, 2, 5]
+TOPOLOGY = gf.load("topology")
 
 
-def make_pair(seed, num_nodes=60, degree=7.0):
-    """(dense reference, sparse CSR) topologies from identical inputs."""
-    dense = random_topology(
-        num_nodes=num_nodes, average_degree=degree, seed=seed, sparse=False
+def make(seed, num_nodes=60):
+    """The deployment and its corpus entry."""
+    topology = random_topology(
+        num_nodes=num_nodes, average_degree=gf.RANDOM_DEGREE, seed=seed
     )
-    sparse = random_topology(
-        num_nodes=num_nodes, average_degree=degree, seed=seed, sparse=True
-    )
-    assert not isinstance(dense.adjacency, CSRAdjacency)
-    assert isinstance(sparse.adjacency, CSRAdjacency)
-    return dense, sparse
+    return topology, TOPOLOGY[f"random-n{num_nodes}-s{seed}"]
+
+
+def pinned_state(topology):
+    """The topology's current state facts, pinned as the corpus stores them."""
+    return gf.pin(gf.state_facts(topology))
+
+
+@lru_cache(maxsize=None)
+def timeline(seed, num_nodes=60):
+    """Facts through failure, recovery, link surgery and a move (read-only)."""
+    topology, _ = make(seed, num_nodes)
+    return gf.topology_timeline(topology)
 
 
 class TestGenerationParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("num_nodes", [40, 120])
     def test_deployment_identical(self, seed, num_nodes):
-        dense, sparse = make_pair(seed, num_nodes=num_nodes)
-        assert sparse.radio_range == dense.radio_range
-        assert sparse.base_id == dense.base_id
-        assert sparse.node_ids == dense.node_ids
-        for node in dense.node_ids:
-            assert sparse.nodes[node].position == dense.nodes[node].position
-            assert sparse.adjacency.row_list(node) == sorted(dense.adjacency[node])
-            assert sparse.neighbors(node) == dense.neighbors(node)
-        assert sparse.average_degree() == pytest.approx(dense.average_degree())
+        topology, expected = make(seed, num_nodes=num_nodes)
+        assert topology.radio_range == expected["radio_range"]
+        assert topology.base_id == expected["base_id"]
+        assert topology.average_degree() == expected["average_degree"]
+        facts = pinned_state(topology)
+        initial = expected["states"]["initial"]
+        assert facts["rows"] == initial["rows"]
+        assert facts["alive_rows"] == initial["alive_rows"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_hop_tables_and_paths_identical(self, seed):
-        dense, sparse = make_pair(seed)
-        for source in dense.node_ids[::7]:
-            dense_hops = dense.shortest_hops(source)
-            sparse_hops = sparse.shortest_hops(source)
-            assert sparse_hops == dense_hops
-            # BFS discovery order shows through dict iteration order.
-            assert list(sparse_hops) == list(dense_hops)
-            for target in dense.node_ids[::5]:
-                assert sparse.shortest_path(source, target) == \
-                    dense.shortest_path(source, target)
-        assert sparse.is_connected() == dense.is_connected()
-        assert sparse.is_connected(only_alive=False) == \
-            dense.is_connected(only_alive=False)
+        topology, expected = make(seed)
+        facts = pinned_state(topology)
+        initial = expected["states"]["initial"]
+        # Hop tables are digested as (node, hops) lists in dict iteration
+        # order, so BFS discovery order is pinned too.
+        for name in ("hops", "paths", "hops_between", "connected"):
+            assert facts[name] == initial[name], name
 
-    def test_sparse_mode_selection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        assert not sparse_mode_enabled(SPARSE_NODE_THRESHOLD - 1)
-        assert sparse_mode_enabled(SPARSE_NODE_THRESHOLD)
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        assert sparse_mode_enabled(10)
-        monkeypatch.setenv("REPRO_SPARSE", "0")
-        assert not sparse_mode_enabled(10 ** 6)
-        # the explicit argument beats the environment
-        assert sparse_mode_enabled(10, sparse=True)
+    def test_bfs_kernel_follows_node_count(self):
+        def line(num_nodes):
+            nodes = {i: SensorNode(node_id=i, position=(float(i), 0.0))
+                     for i in range(num_nodes)}
+            adjacency = {i: {j for j in (i - 1, i + 1) if 0 <= j < num_nodes}
+                         for i in range(num_nodes)}
+            return Topology(nodes=nodes, adjacency=adjacency, radio_range=1.5)
+
+        small = line(NUMPY_BFS_MIN_NODES - 1)
+        large = line(NUMPY_BFS_MIN_NODES)
+        assert not small.routing_cache.array_mode
+        assert large.routing_cache.array_mode
+        assert small.hops_between(0, NUMPY_BFS_MIN_NODES - 2) == NUMPY_BFS_MIN_NODES - 2
+        assert large.hops_between(0, NUMPY_BFS_MIN_NODES - 1) == NUMPY_BFS_MIN_NODES - 1
 
     def test_scale_preset_connected_and_sparse(self):
         topo = topology_from_preset("scale", num_nodes=5000, seed=0)
-        assert isinstance(topo.adjacency, CSRAdjacency)
+        assert topo.routing_cache.array_mode
         assert topo.is_connected()
         assert len(topo.nodes) == 5000
+        assert topo.average_degree() < 0.01 * len(topo.nodes)
         assert scale_preset_degree(5000) >= 12.0
         assert scale_preset_degree(1_000_000) > scale_preset_degree(10_000)
 
@@ -92,107 +96,65 @@ class TestGenerationParity:
 class TestMutationParity:
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_failure_and_recovery(self, seed):
-        dense, sparse = make_pair(seed)
-        victim = next(n for n in dense.node_ids if n != dense.base_id)
-        for topo in (dense, sparse):
-            topo.shortest_hops(topo.base_id)  # warm, then invalidate
-            topo.nodes[victim].fail()
-        assert sparse.shortest_hops(sparse.base_id) == \
-            dense.shortest_hops(dense.base_id)
-        for node in dense.node_ids[::9]:
-            assert sparse.neighbors(node) == dense.neighbors(node)
-        for topo in (dense, sparse):
-            topo.nodes[victim].recover()
-        assert sparse.shortest_hops(sparse.base_id) == \
-            dense.shortest_hops(dense.base_id)
+        expected = TOPOLOGY[f"random-n60-s{seed}"]
+        facts = timeline(seed)
+        assert facts["failed"] == expected["failed"]
+        for state in ("failed", "recovered"):
+            assert facts["states"][state] == expected["states"][state], state
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_link_surgery(self, seed):
-        dense, sparse = make_pair(seed)
-        leaf = next(
-            n for n in reversed(dense.node_ids)
-            if n != dense.base_id and len(dense.neighbors(n)) >= 2
-        )
-        for topo in (dense, sparse):
-            topo.remove_links_of(leaf)
-        assert sparse.neighbors(leaf) == dense.neighbors(leaf) == []
-        assert sparse.shortest_hops(sparse.base_id) == \
-            dense.shortest_hops(dense.base_id)
-        for topo in (dense, sparse):
-            topo.rebuild_links_of(leaf)
-        for node in dense.node_ids[::9] + [leaf]:
-            assert sparse.neighbors(node) == dense.neighbors(node)
-        assert sparse.shortest_hops(leaf) == dense.shortest_hops(leaf)
+        expected = TOPOLOGY[f"random-n60-s{seed}"]
+        facts = timeline(seed)
+        assert facts["unlinked"] == expected["unlinked"]
+        assert facts["relinked_neighbours"] == expected["relinked_neighbours"]
+        for state in ("unlinked", "relinked", "moved"):
+            assert facts["states"][state] == expected["states"][state], state
 
     def test_copy_is_independent(self):
-        _, sparse = make_pair(0)
-        clone = sparse.copy()
-        victim = next(n for n in sparse.node_ids if n != sparse.base_id)
+        topology, _ = make(0)
+        clone = topology.copy()
+        victim = next(n for n in topology.node_ids if n != topology.base_id)
         clone.nodes[victim].fail()
-        assert sparse.nodes[victim].alive
-        assert victim in sparse.shortest_hops(sparse.base_id)
+        assert topology.nodes[victim].alive
+        assert victim in topology.shortest_hops(topology.base_id)
         assert victim not in clone.shortest_hops(clone.base_id)
 
 
 class TestRoutingParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_routing_tree(self, seed):
-        dense, sparse = make_pair(seed)
-        for tie_break_seed in (0, 1, 2):
-            reference = RoutingTree(dense, tie_break_seed=tie_break_seed)
-            tree = RoutingTree(sparse, tie_break_seed=tie_break_seed)
-            assert tree.parent == reference.parent
-            assert tree.children == reference.children
-            # dict insertion order == BFS discovery order in both builds
-            assert list(tree.depth) == list(reference.depth)
-            assert tree.depth == reference.depth
+        topology, expected = make(seed)
+        # parent/children/depth as lists in dict insertion order, for
+        # tie-break seeds 0-2
+        assert pinned_state(topology)["trees"] == expected["states"]["initial"]["trees"]
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_tree_repair_after_failure(self, seed):
-        dense, sparse = make_pair(seed)
-        reference = RoutingTree(dense)
-        tree = RoutingTree(sparse)
-        victim = next(
-            n for n in dense.node_ids
-            if n != dense.base_id and reference.children.get(n)
-        )
-        dense.nodes[victim].fail()
-        sparse.nodes[victim].fail()
-        assert tree.repair_after_failure(victim) == \
-            reference.repair_after_failure(victim)
-        assert tree.parent == reference.parent
+        assert timeline(seed)["repair"] == TOPOLOGY[f"random-n60-s{seed}"]["repair"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_multitree_roots(self, seed):
-        dense, sparse = make_pair(seed)
-        reference = MultiTreeSubstrate(dense, num_trees=3)
-        substrate = MultiTreeSubstrate(sparse, num_trees=3)
-        assert [t.root for t in substrate.trees] == \
-            [t.root for t in reference.trees]
+        expected = TOPOLOGY[f"random-n60-s{seed}"]
+        facts = timeline(seed)
+        for state, state_facts in expected["states"].items():
+            assert facts["states"][state]["multitree_roots"] == \
+                state_facts["multitree_roots"], state
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_ght_and_dht_home_nodes(self, seed):
-        dense, sparse = make_pair(seed)
-        ght_ref, ght = GHTSubstrate(dense), GHTSubstrate(sparse)
-        dht_ref, dht = DHTSubstrate(dense), DHTSubstrate(sparse)
-        keys = ["alpha", "beta", ("pair", 3), 42, "zz"]
-        for key in keys:
-            assert ght.home_node(key) == ght_ref.home_node(key)
-            assert dht.home_node(key) == dht_ref.home_node(key)
-            assert ght.greedy_route(5, key) == ght_ref.greedy_route(5, key)
-            assert dht.route(7, key) == dht_ref.route(7, key)
-        # epoch-invalidated rescan after a failure still agrees
-        victim = next(n for n in dense.node_ids if n != dense.base_id)
-        dense.nodes[victim].fail()
-        sparse.nodes[victim].fail()
-        for key in keys:
-            assert ght.home_node(key) == ght_ref.home_node(key)
-            assert dht.home_node(key) == dht_ref.home_node(key)
+        expected = TOPOLOGY[f"random-n60-s{seed}"]
+        facts = timeline(seed)
+        # home nodes and routes, before and after the epoch-invalidating
+        # failure, recovery, link surgery and move
+        for state, state_facts in expected["states"].items():
+            for name in ("ght", "dht"):
+                assert facts["states"][state][name] == state_facts[name], state
 
 
 class TestLandmarks:
     def test_approx_hops_is_an_exact_upper_bound(self):
-        _, sparse = make_pair(3, num_nodes=120)
+        sparse = random_topology(num_nodes=120, average_degree=7.0, seed=3)
         cache = sparse.routing_cache.validate()
         landmark_ids, matrix = cache.landmark_tables(num_landmarks=4)
         assert matrix.shape == (len(landmark_ids), len(sparse.nodes))
@@ -214,42 +176,13 @@ class TestLandmarks:
 
 
 class TestExperimentIdentity:
-    """Figure experiments are byte-identical with the sparse substrate forced."""
+    """Figure experiments reproduce the corpus captured on the dict substrate."""
 
-    def _run_fig14(self, monkeypatch, forced):
-        from repro.experiments import harness
-        from repro.experiments.figures_adaptive import fig14_failure
+    def test_fig14_failure_same_with_sparse_forced(self):
+        assert gf.fig14_rows() == gf.load("figures")["fig14_failure"]
 
-        monkeypatch.setenv("REPRO_SPARSE", "1" if forced else "0")
-        harness._TOPOLOGY_CACHE.clear()
-        try:
-            return fig14_failure(scale=harness.SCALES["smoke"],
-                                 join_selectivities=(0.2,))
-        finally:
-            harness._TOPOLOGY_CACHE.clear()
-
-    def test_fig14_failure_same_with_sparse_forced(self, monkeypatch):
-        assert self._run_fig14(monkeypatch, forced=False) == \
-            self._run_fig14(monkeypatch, forced=True)
-
-    def test_engine_run_same_with_sparse_forced(self, monkeypatch):
-        from repro.engine.execution import execute_run
-        from repro.engine.spec import resolve_scale
-        from repro.engine.workload import reset_workload_caches
-        from repro.experiments.scenarios import resolve_scenario
-
-        spec = next(
-            s for s in resolve_scenario("scale-ladder-smoke").expand(
-                resolve_scale("smoke"))
-            if s.num_nodes == 1000 and s.algorithm == "base"
-        )
-
-        def run(forced):
-            monkeypatch.setenv("REPRO_SPARSE", "1" if forced else "0")
-            reset_workload_caches()
-            try:
-                return execute_run(spec).report
-            finally:
-                reset_workload_caches()
-
-        assert run(False) == run(True)
+    def test_engine_run_same_with_sparse_forced(self):
+        expected = gf.load("runs")["scale-ladder-smoke@1000"]
+        facts = gf.run_facts("scale-ladder-smoke", {},
+                             lambda s: s.num_nodes == 1000 and s.algorithm == "base")
+        assert facts and all(record in expected for record in facts)

@@ -101,3 +101,72 @@ class TestLiveEvents:
     def test_unknown_event_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.apply_event({"type": "reboot"})
+
+
+class TestAdmissionAfterFailure:
+    """Queries admitted after a producer died plan it out and still run."""
+
+    def test_submit_after_producer_death(self):
+        from repro.service.churn import churn_query
+
+        engine = ServiceEngine(ServiceConfig(
+            num_nodes=60, seed=0, default_algorithm="innet-cmg",
+        ))
+        name, sql = churn_query(0, 7, 60)
+        engine.submit(sql=sql, name=name)
+        engine.step(1)
+        engine.apply_event({"type": "fail", "node": 5})
+        engine.step(1)
+        name, sql = churn_query(3, 7, 60)
+        admitted = engine.submit(sql=sql, name=name)
+        session = engine.shared.session(admitted["query_id"])
+        pairs = session.strategy.plan.pairs()
+        assert pairs
+        assert all(5 not in pair for pair in pairs)
+        # later admissions and cycles keep working
+        for slot in (4, 5):
+            name, sql = churn_query(slot, 7, 60)
+            engine.submit(sql=sql, name=name)
+            engine.step(2)
+        assert engine.admitted == 4
+        assert engine.stats()["total_traffic"] > 0
+
+
+class TestRecoveryCost:
+    """A K-pair recovery rebuilds every tree once, then two per pair."""
+
+    def test_multicast_rebuilds_bounded_by_pairs(self, monkeypatch):
+        from repro.joins import innet
+        from repro.service.churn import churn_query
+
+        built = [0]
+        original_build = innet.build_multicast_tree
+
+        def counting_build(*args, **kwargs):
+            built[0] += 1
+            return original_build(*args, **kwargs)
+
+        recoveries = []
+        original_finish = innet.InnetJoin._finish_recoveries
+
+        def finish(self, ctx, cycle, produced_at):
+            pairs = sum(1 for until in self._recovering.values() if until <= cycle)
+            before = built[0]
+            original_finish(self, ctx, cycle, produced_at)
+            if pairs:
+                recoveries.append((pairs, len(self._pairs_of), built[0] - before))
+
+        monkeypatch.setattr(innet, "build_multicast_tree", counting_build)
+        monkeypatch.setattr(innet.InnetJoin, "_finish_recoveries", finish)
+        engine = ServiceEngine(ServiceConfig(
+            num_nodes=60, seed=0, default_algorithm="innet-cmg",
+        ))
+        for slot in range(8):
+            name, sql = churn_query(slot, 7, 60)
+            engine.submit(sql=sql, name=name)
+        engine.step(1)
+        engine.apply_event({"type": "fail", "node": 21})  # a busy relay
+        engine.step(8)
+        assert sum(pairs for pairs, _, _ in recoveries) >= 50
+        for pairs, producers, calls in recoveries:
+            assert calls <= producers + 2 * (pairs - 1)

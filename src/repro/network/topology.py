@@ -118,9 +118,6 @@ class CSRAdjacency:
     def __contains__(self, node_id) -> bool:
         return isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes
 
-    def __len__(self) -> int:
-        return self.num_nodes
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CSRAdjacency):
             return NotImplemented

@@ -1,9 +1,9 @@
 """The substrate reproduces the golden corpus exactly.
 
 The corpus was captured from the dict adjacency with the routing caches off,
-and cross-checked against the CSR substrate with caches on (see
-``capture.py``).  Every topology query, figure run and service replay below
-must still produce it bit for bit.
+and the CSR substrate with caches on reproduced it exactly before the dict
+substrate was deleted.  Every topology query, figure run and service replay
+below must still produce it bit for bit.
 """
 
 import pytest
